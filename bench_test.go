@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -1087,4 +1089,112 @@ func listOnly(rs []rules.Rule) []rules.Rule {
 		}
 	}
 	return out
+}
+
+// planTemplates are five Figure 1 statements whose beam searches visit
+// about equal plan spaces (156–168 plans each). Every {lit} is replaced by
+// a literal unique to the iteration, so no two planned statements repeat.
+var planTemplates = []string{
+	"VALIDTIME SELECT DISTINCT COALESCED EmpName FROM EMPLOYEE WHERE Dept <> 'D{lit}' EXCEPT SELECT EmpName FROM PROJECT WHERE Prj <> 'P{lit}' ORDER BY EmpName ASC",
+	"VALIDTIME SELECT DISTINCT COALESCED EmpName FROM EMPLOYEE WHERE Dept <> 'D{lit}' EXCEPT SELECT EmpName FROM PROJECT WHERE Prj <> 'P{lit}' ORDER BY EmpName DESC",
+	"VALIDTIME SELECT DISTINCT COALESCED EmpName FROM EMPLOYEE WHERE Dept <> 'D{lit}' UNION SELECT EmpName FROM PROJECT WHERE Prj <> 'P{lit}' ORDER BY EmpName ASC",
+	"VALIDTIME SELECT DISTINCT COALESCED EmpName FROM PROJECT WHERE Prj <> 'P{lit}' EXCEPT SELECT EmpName FROM EMPLOYEE WHERE Dept <> 'D{lit}' ORDER BY EmpName ASC",
+	"VALIDTIME SELECT DISTINCT COALESCED EmpName FROM PROJECT WHERE Prj <> 'P{lit}' UNION SELECT EmpName FROM EMPLOYEE ORDER BY EmpName ASC",
+}
+
+// planSQL returns the i-th planned statement: template i mod 5 with a
+// literal no other iteration uses.
+func planSQL(i int) string {
+	return strings.ReplaceAll(planTemplates[i%len(planTemplates)], "{lit}", strconv.Itoa(i))
+}
+
+// BenchmarkPlan times the three phases of cold planning separately over the
+// paper templates, each iteration on a statement no earlier one planned:
+// parse (tsql.Parse), beam (the initial plan plus the cost-guided beam
+// search, OptimizeBeam), and split (carving the prepared plan into
+// per-shard fragments for a two-shard coordinator, SplitForShards). Each
+// phase is timed alone — the inputs of beam and split are built outside the
+// timed region — and recorded as bench "plan", engine = phase, rows = the
+// number of templates.
+func BenchmarkPlan(b *testing.B) {
+	cat := catalog.Paper()
+	opt := core.New(cat)
+	m, err := shard.NewMapMode(cat, 2, shard.Auto)
+	if err != nil {
+		b.Fatal(err)
+	}
+	policy := core.SplitPolicy{Colocated: m.Colocated}
+	phases := []struct {
+		name string
+		// prepare builds the phase's input for statement i outside the
+		// timer; run is the timed phase and returns its output count
+		// (statements parsed, plans visited, fragments cut), recorded as
+		// out_rows.
+		prepare func(i int) any
+		run     func(in any) int
+	}{
+		{"parse", func(i int) any { return planSQL(i) }, func(in any) int {
+			if _, err := tsql.Parse(in.(string)); err != nil {
+				b.Fatal(err)
+			}
+			return 1
+		}},
+		{"beam", func(i int) any {
+			q, err := tsql.Parse(planSQL(i))
+			if err != nil {
+				b.Fatal(err)
+			}
+			return q
+		}, func(in any) int {
+			q := in.(*tsql.Query)
+			initial, err := q.Plan(cat)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ps, err := opt.OptimizeBeam(initial, q.ResultType(), q.OrderBy())
+			if err != nil {
+				b.Fatal(err)
+			}
+			return len(ps.All)
+		}},
+		{"split", func(i int) any {
+			prep, err := opt.Prepare(planSQL(i))
+			if err != nil {
+				b.Fatal(err)
+			}
+			return prep.Plan
+		}, func(in any) int {
+			s, err := core.SplitForShards(in.(algebra.Node), policy)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return len(s.Fragments)
+		}},
+	}
+	for _, ph := range phases {
+		b.Run(ph.name, func(b *testing.B) {
+			var elapsed time.Duration
+			var bytes, mallocs uint64
+			out := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				in := ph.prepare(i)
+				m0 := snapMem()
+				b.StartTimer()
+				start := time.Now()
+				out = ph.run(in)
+				elapsed += time.Since(start)
+				b.StopTimer()
+				m1 := snapMem()
+				bytes += m1.bytes - m0.bytes
+				mallocs += m1.mallocs - m0.mallocs
+				b.StartTimer()
+			}
+			n := float64(b.N)
+			recordEngineBench("plan", len(planTemplates), ph.name, elapsed, b.N, out,
+				float64(bytes)/n, float64(mallocs)/n)
+			b.ReportMetric(float64(elapsed.Nanoseconds())/n, "phase-ns/op")
+		})
+	}
 }

@@ -14,13 +14,20 @@ import (
 type Node interface {
 	// Op returns the operator kind.
 	Op() Op
-	// Children returns the child nodes (not a copy; do not mutate).
+	// Children returns the child nodes. The slice aliases the node's own
+	// storage and is returned without allocating: callers must not mutate
+	// it.
 	Children() []Node
 	// WithChildren returns a copy of the node with the given children.
 	WithChildren(ch ...Node) Node
-	// Schema derives the node's output schema, validating this node's own
-	// parameters against the children's schemas.
+	// Schema derives the node's output schema recursively: the children's
+	// schemas, then DeriveSchema. Each call walks the whole subtree.
 	Schema() (*schema.Schema, error)
+	// DeriveSchema derives the node's output schema from its children's
+	// schemas (in child order), validating this node's own parameters
+	// against them. It does not recurse, so a caller that already knows
+	// the children's schemas pays for this node only.
+	DeriveSchema(in []*schema.Schema) (*schema.Schema, error)
 	// Label renders the operator with its parameters but without children,
 	// e.g. "project{EmpName,T1,T2}".
 	Label() string
@@ -65,7 +72,10 @@ func (n *Rel) WithChildren(ch ...Node) Node {
 }
 
 // Schema implements Node.
-func (n *Rel) Schema() (*schema.Schema, error) {
+func (n *Rel) Schema() (*schema.Schema, error) { return n.DeriveSchema(nil) }
+
+// DeriveSchema implements Node.
+func (n *Rel) DeriveSchema([]*schema.Schema) (*schema.Schema, error) {
 	if n.Sch == nil {
 		return nil, fmt.Errorf("algebra: relation %q has no schema", n.Name)
 	}
@@ -85,32 +95,37 @@ func (n *Rel) Equal(other Node) bool {
 // coalescing... (coalescing is retained: removing whole tuples cannot create
 // adjacency violations).
 type Select struct {
-	P     expr.Pred
-	child Node
+	P  expr.Pred
+	ch [1]Node
 }
 
 // NewSelect returns σ_P(child).
-func NewSelect(p expr.Pred, child Node) *Select { return &Select{P: p, child: child} }
+func NewSelect(p expr.Pred, child Node) *Select { return &Select{P: p, ch: [1]Node{child}} }
 
 // Op implements Node.
 func (n *Select) Op() Op { return OpSelect }
 
 // Children implements Node.
-func (n *Select) Children() []Node { return []Node{n.child} }
+func (n *Select) Children() []Node { return n.ch[:] }
 
 // WithChildren implements Node.
 func (n *Select) WithChildren(ch ...Node) Node {
 	mustArity(OpSelect, len(ch))
-	return &Select{P: n.P, child: ch[0]}
+	return NewSelect(n.P, ch[0])
 }
 
 // Schema implements Node.
-func (n *Select) Schema() (*schema.Schema, error) {
-	s, err := n.child.Schema()
-	if err != nil {
-		return nil, err
-	}
-	for _, a := range expr.AttrsOf(n.P) {
+func (n *Select) Schema() (*schema.Schema, error) { return schemaOf(n) }
+
+// DeriveSchema implements Node.
+func (n *Select) DeriveSchema(in []*schema.Schema) (*schema.Schema, error) {
+	return selectSchema(n.P, in[0])
+}
+
+// selectSchema checks that the predicate reads only attributes of s, the
+// schema a selection passes through unchanged.
+func selectSchema(p expr.Pred, s *schema.Schema) (*schema.Schema, error) {
+	for _, a := range expr.AttrsOf(p) {
 		if !s.Has(a) {
 			return nil, fmt.Errorf("algebra: selection predicate uses unknown attribute %q", a)
 		}
@@ -124,7 +139,7 @@ func (n *Select) Label() string { return "select{" + n.P.String() + "}" }
 // Equal implements Node.
 func (n *Select) Equal(other Node) bool {
 	o, ok := other.(*Select)
-	return ok && n.P.EqualPred(o.P) && n.child.Equal(o.child)
+	return ok && n.P.EqualPred(o.P) && n.ch[0].Equal(o.ch[0])
 }
 
 // ProjItem is one output column of a projection: an expression and its
@@ -151,12 +166,12 @@ func (p ProjItem) String() string {
 // and it destroys coalescing.
 type Project struct {
 	Items []ProjItem
-	child Node
+	ch    [1]Node
 }
 
 // NewProject returns π_items(child).
 func NewProject(items []ProjItem, child Node) *Project {
-	return &Project{Items: items, child: child}
+	return &Project{Items: items, ch: [1]Node{child}}
 }
 
 // NewProjectCols returns a projection onto the named attributes.
@@ -172,20 +187,20 @@ func NewProjectCols(child Node, names ...string) *Project {
 func (n *Project) Op() Op { return OpProject }
 
 // Children implements Node.
-func (n *Project) Children() []Node { return []Node{n.child} }
+func (n *Project) Children() []Node { return n.ch[:] }
 
 // WithChildren implements Node.
 func (n *Project) WithChildren(ch ...Node) Node {
 	mustArity(OpProject, len(ch))
-	return &Project{Items: n.Items, child: ch[0]}
+	return NewProject(n.Items, ch[0])
 }
 
 // Schema implements Node.
-func (n *Project) Schema() (*schema.Schema, error) {
-	s, err := n.child.Schema()
-	if err != nil {
-		return nil, err
-	}
+func (n *Project) Schema() (*schema.Schema, error) { return schemaOf(n) }
+
+// DeriveSchema implements Node.
+func (n *Project) DeriveSchema(in []*schema.Schema) (*schema.Schema, error) {
+	s := in[0]
 	attrs := make([]schema.Attribute, 0, len(n.Items))
 	for _, it := range n.Items {
 		k, err := it.Expr.Kind(s)
@@ -241,65 +256,67 @@ func (n *Project) Equal(other Node) bool {
 			return false
 		}
 	}
-	return n.child.Equal(o.child)
+	return n.ch[0].Equal(o.ch[0])
 }
 
 // binary is the shared shape of parameter-free binary operators.
 type binary struct {
-	op    Op
-	left  Node
-	right Node
+	op Op
+	ch [2]Node
 }
 
+func newBinary(op Op, l, r Node) Node { return &binary{op: op, ch: [2]Node{l, r}} }
+
 func (n *binary) Op() Op           { return n.op }
-func (n *binary) Children() []Node { return []Node{n.left, n.right} }
+func (n *binary) Children() []Node { return n.ch[:] }
 func (n *binary) WithChildren(ch ...Node) Node {
 	mustArity(n.op, len(ch))
-	return &binary{op: n.op, left: ch[0], right: ch[1]}
+	return newBinary(n.op, ch[0], ch[1])
 }
 func (n *binary) Label() string { return n.op.String() }
 func (n *binary) Equal(other Node) bool {
 	o, ok := other.(*binary)
-	return ok && o.op == n.op && n.left.Equal(o.left) && n.right.Equal(o.right)
+	return ok && o.op == n.op && n.ch[0].Equal(o.ch[0]) && n.ch[1].Equal(o.ch[1])
 }
 
-// Schema implements Node for each parameter-free binary operator.
-func (n *binary) Schema() (*schema.Schema, error) {
-	ls, err := n.left.Schema()
-	if err != nil {
-		return nil, err
-	}
-	rs, err := n.right.Schema()
-	if err != nil {
-		return nil, err
-	}
-	switch n.op {
+// Schema implements Node.
+func (n *binary) Schema() (*schema.Schema, error) { return schemaOf(n) }
+
+// DeriveSchema implements Node for each parameter-free binary operator.
+func (n *binary) DeriveSchema(in []*schema.Schema) (*schema.Schema, error) {
+	return binarySchema(n.op, in[0], in[1])
+}
+
+// binarySchema derives the result schema of a parameter-free binary
+// operator over argument schemas ls and rs.
+func binarySchema(op Op, ls, rs *schema.Schema) (*schema.Schema, error) {
+	switch op {
 	case OpUnionAll, OpUnion:
 		if !ls.Equal(rs) {
-			return nil, fmt.Errorf("algebra: %s over unequal schemas %s vs %s", n.op, ls, rs)
+			return nil, fmt.Errorf("algebra: %s over unequal schemas %s vs %s", op, ls, rs)
 		}
 		return ls, nil
 	case OpTUnion:
 		if !ls.Temporal() || !rs.Temporal() {
-			return nil, fmt.Errorf("algebra: %s requires temporal arguments", n.op)
+			return nil, fmt.Errorf("algebra: %s requires temporal arguments", op)
 		}
 		if !ls.Equal(rs) {
-			return nil, fmt.Errorf("algebra: %s over unequal schemas %s vs %s", n.op, ls, rs)
+			return nil, fmt.Errorf("algebra: %s over unequal schemas %s vs %s", op, ls, rs)
 		}
 		return ls, nil
 	case OpDiff:
 		if !ls.Equal(rs) {
-			return nil, fmt.Errorf("algebra: %s over unequal schemas %s vs %s", n.op, ls, rs)
+			return nil, fmt.Errorf("algebra: %s over unequal schemas %s vs %s", op, ls, rs)
 		}
 		// Regular difference has a temporal counterpart, so it produces a
 		// snapshot relation: time attributes become ordinary data columns.
 		return ls.QualifyTime(1), nil
 	case OpTDiff:
 		if !ls.Temporal() || !rs.Temporal() {
-			return nil, fmt.Errorf("algebra: %s requires temporal arguments", n.op)
+			return nil, fmt.Errorf("algebra: %s requires temporal arguments", op)
 		}
 		if !ls.Equal(rs) {
-			return nil, fmt.Errorf("algebra: %s over unequal schemas %s vs %s", n.op, ls, rs)
+			return nil, fmt.Errorf("algebra: %s over unequal schemas %s vs %s", op, ls, rs)
 		}
 		return ls, nil
 	case OpProduct:
@@ -308,7 +325,7 @@ func (n *binary) Schema() (*schema.Schema, error) {
 		return ls.QualifyTime(1).Concat(rs.QualifyTime(2))
 	case OpTProduct:
 		if !ls.Temporal() || !rs.Temporal() {
-			return nil, fmt.Errorf("algebra: %s requires temporal arguments", n.op)
+			return nil, fmt.Errorf("algebra: %s requires temporal arguments", op)
 		}
 		// The temporal product retains the argument timestamps (qualified)
 		// and appends a fresh period T1/T2 holding the intersection
@@ -322,30 +339,46 @@ func (n *binary) Schema() (*schema.Schema, error) {
 			schema.Attr(schema.T2, value.KindTime))
 		return schema.New(attrs...)
 	default:
-		return nil, fmt.Errorf("algebra: binary schema for %s", n.op)
+		return nil, fmt.Errorf("algebra: binary schema for %s", op)
 	}
 }
 
 // NewUnionAll returns l ⊔ r (concatenation).
-func NewUnionAll(l, r Node) Node { return &binary{op: OpUnionAll, left: l, right: r} }
+func NewUnionAll(l, r Node) Node { return newBinary(OpUnionAll, l, r) }
 
 // NewUnion returns the multiset union l ∪ r (max multiplicity).
-func NewUnion(l, r Node) Node { return &binary{op: OpUnion, left: l, right: r} }
+func NewUnion(l, r Node) Node { return newBinary(OpUnion, l, r) }
 
 // NewTUnion returns the temporal union l ∪ᵀ r.
-func NewTUnion(l, r Node) Node { return &binary{op: OpTUnion, left: l, right: r} }
+func NewTUnion(l, r Node) Node { return newBinary(OpTUnion, l, r) }
 
 // NewProduct returns the conventional Cartesian product l × r.
-func NewProduct(l, r Node) Node { return &binary{op: OpProduct, left: l, right: r} }
+func NewProduct(l, r Node) Node { return newBinary(OpProduct, l, r) }
 
 // NewTProduct returns the temporal Cartesian product l ×ᵀ r.
-func NewTProduct(l, r Node) Node { return &binary{op: OpTProduct, left: l, right: r} }
+func NewTProduct(l, r Node) Node { return newBinary(OpTProduct, l, r) }
 
 // NewDiff returns the multiset difference l \ r.
-func NewDiff(l, r Node) Node { return &binary{op: OpDiff, left: l, right: r} }
+func NewDiff(l, r Node) Node { return newBinary(OpDiff, l, r) }
 
 // NewTDiff returns the temporal difference l \ᵀ r.
-func NewTDiff(l, r Node) Node { return &binary{op: OpTDiff, left: l, right: r} }
+func NewTDiff(l, r Node) Node { return newBinary(OpTDiff, l, r) }
+
+// schemaOf is the recursive Schema every node shares: its children's
+// schemas, then its own DeriveSchema step.
+func schemaOf(n Node) (*schema.Schema, error) {
+	ch := n.Children()
+	var buf [2]*schema.Schema
+	in := buf[:len(ch)]
+	for i, c := range ch {
+		s, err := c.Schema()
+		if err != nil {
+			return nil, err
+		}
+		in[i] = s
+	}
+	return n.DeriveSchema(in)
+}
 
 func mustArity(op Op, n int) {
 	if op.Arity() != n {

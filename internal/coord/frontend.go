@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"tqp/internal/server"
+	"tqp/internal/tsql"
 )
 
 // Frontend serves the coordinator over the wire protocol, so any protocol
@@ -191,9 +192,10 @@ func (f *Frontend) runQuery(sql string, w io.Writer) error {
 		// execution failures → exec; everything between → plan.
 		code := server.CodePlan
 		var se *ShardError
+		var perr *tsql.ParseError
 		if errors.As(err, &se) {
 			code = server.CodeExec
-		} else if _, perr := f.c.opt.Parse(sql); perr != nil {
+		} else if errors.As(err, &perr) {
 			code = server.CodeParse
 		}
 		return writeError(w, code, err)

@@ -230,9 +230,6 @@ type Plans struct {
 	Enumeration *enum.Result
 }
 
-// Parse parses a statement against the catalog's dialect.
-func (o *Optimizer) Parse(sql string) (*tsql.Query, error) { return tsql.Parse(sql) }
-
 // OptimizeSQL parses, plans, enumerates and costs a statement.
 func (o *Optimizer) OptimizeSQL(sql string) (*Plans, error) {
 	q, err := tsql.Parse(sql)
@@ -255,28 +252,12 @@ func (o *Optimizer) OptimizeSQL(sql string) (*Plans, error) {
 func (o *Optimizer) Optimize(initial algebra.Node, rt equiv.ResultType, orderBy relation.OrderSpec) (*Plans, error) {
 	cfg := o.config
 	cfg.ResultType = rt
+	cfg.Memo = o.model.NewMemo()
 	res, err := enum.Enumerate(initial, cfg)
 	if err != nil {
 		return nil, err
 	}
-	best, bestCost, err := o.model.Best(res.Plans)
-	if err != nil {
-		return nil, err
-	}
-	initialCost, err := o.model.Cost(initial)
-	if err != nil {
-		return nil, err
-	}
-	return &Plans{
-		Initial:     initial,
-		All:         res.Plans,
-		Best:        best,
-		BestCost:    bestCost,
-		InitialCost: initialCost,
-		ResultType:  rt,
-		OrderBy:     orderBy,
-		Enumeration: res,
-	}, nil
+	return plansOf(initial, rt, orderBy, res)
 }
 
 // OptimizeBeam is the heuristic alternative to Optimize for plans whose
@@ -284,20 +265,26 @@ func (o *Optimizer) Optimize(initial algebra.Node, rt equiv.ResultType, orderBy 
 // (internal/enum.Beam) that typically reaches the same best plan while
 // visiting a fraction of the space.
 func (o *Optimizer) OptimizeBeam(initial algebra.Node, rt equiv.ResultType, orderBy relation.OrderSpec) (*Plans, error) {
-	cfg := enum.BeamConfig{
-		Config: o.config,
-		Score:  o.model.Cost,
-	}
+	return o.optimizeBeam(initial, rt, orderBy, o.model.NewMemo())
+}
+
+// optimizeBeam runs the beam search over the given memo, which the caller
+// may go on using to price plans built from the search's plans.
+func (o *Optimizer) optimizeBeam(initial algebra.Node, rt equiv.ResultType, orderBy relation.OrderSpec, memo *cost.Memo) (*Plans, error) {
+	cfg := enum.BeamConfig{Config: o.config}
 	cfg.ResultType = rt
+	cfg.Memo = memo
 	res, err := enum.Beam(initial, cfg)
 	if err != nil {
 		return nil, err
 	}
-	best, bestCost, err := o.model.Best(res.Plans)
-	if err != nil {
-		return nil, err
-	}
-	initialCost, err := o.model.Cost(initial)
+	return plansOf(initial, rt, orderBy, res)
+}
+
+// plansOf picks the best plan from a priced search's recorded scores; the
+// initial plan is the first scored.
+func plansOf(initial algebra.Node, rt equiv.ResultType, orderBy relation.OrderSpec, res *enum.Result) (*Plans, error) {
+	best, bestCost, err := res.Best()
 	if err != nil {
 		return nil, err
 	}
@@ -306,7 +293,7 @@ func (o *Optimizer) OptimizeBeam(initial algebra.Node, rt equiv.ResultType, orde
 		All:         res.Plans,
 		Best:        best,
 		BestCost:    bestCost,
-		InitialCost: initialCost,
+		InitialCost: res.Scores[0],
 		ResultType:  rt,
 		OrderBy:     orderBy,
 		Enumeration: res,
@@ -367,7 +354,10 @@ func (o *Optimizer) Prepare(sql string) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	ps, err := o.OptimizeBeam(initial, q.ResultType(), q.OrderBy())
+	// The search's memo outlives the search only to price the final plan,
+	// whose subplans it has already estimated; it is dropped on return.
+	memo := o.model.NewMemo()
+	ps, err := o.optimizeBeam(initial, q.ResultType(), q.OrderBy(), memo)
 	if err != nil {
 		return nil, err
 	}
@@ -375,7 +365,7 @@ func (o *Optimizer) Prepare(sql string) (*Prepared, error) {
 	if err := stratum.ValidateSites(plan); err != nil {
 		return nil, err
 	}
-	es, err := o.model.Plan(plan)
+	es, err := memo.Plan(plan)
 	if err != nil {
 		return nil, err
 	}

@@ -368,38 +368,29 @@ func New(cat *catalog.Catalog, params Params) *Model {
 	return &Model{params: params, cat: cat}
 }
 
-// Plan estimates every node of the plan; the root's Estimate carries the
-// total plan cost.
+// Plan estimates every node of the plan from scratch: Memo.Plan over an
+// empty memo. The root's Estimate carries the total plan cost.
 func (m *Model) Plan(plan algebra.Node) (Estimates, error) {
-	st, err := props.InferStates(plan)
-	if err != nil {
-		return nil, err
-	}
-	es := make(Estimates)
-	if _, err := m.node(plan, st, es); err != nil {
-		return nil, err
-	}
-	return es, nil
+	return m.NewMemo().Plan(plan)
 }
 
-// Cost returns the total estimated cost of the plan.
+// Cost returns the total estimated cost of the plan, from scratch.
 func (m *Model) Cost(plan algebra.Node) (float64, error) {
-	es, err := m.Plan(plan)
-	if err != nil {
-		return 0, err
-	}
-	return es[plan].Cost, nil
+	return m.NewMemo().Cost(plan)
 }
 
-// Best returns the cheapest plan of the given set and its cost.
+// Best returns the cheapest plan of the given set and its cost — the first
+// of equally cheap plans. The plans share one memo, so the subplans they
+// have in common are estimated once.
 func (m *Model) Best(plans []algebra.Node) (algebra.Node, float64, error) {
 	if len(plans) == 0 {
 		return nil, 0, fmt.Errorf("cost: no plans")
 	}
+	memo := m.NewMemo()
 	var best algebra.Node
 	bestCost := math.Inf(1)
 	for _, p := range plans {
-		c, err := m.Cost(p)
+		c, err := memo.Cost(p)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -410,27 +401,104 @@ func (m *Model) Best(plans []algebra.Node) (algebra.Node, float64, error) {
 	return best, bestCost, nil
 }
 
-func (m *Model) node(n algebra.Node, st props.States, es Estimates) (Estimate, error) {
-	if e, ok := es[n]; ok {
+// Memo extends the search memo of package props with the estimates of one
+// cost model: a node's estimate depends on the node and its site, exactly
+// like its state, so it is keyed the same way. A Memo serves the model that
+// made it and, like props.Memo, one search at a time.
+type Memo struct {
+	*props.Memo
+	model *Model
+	est   map[siteKey]Estimate
+}
+
+// siteKey identifies one node executing at one site.
+type siteKey struct {
+	n    algebra.Node
+	site props.Site
+}
+
+// NewMemo returns an empty memo pricing plans with model. A nil model gives
+// a memo of states and canonical forms only, whose Cost and Plan fail.
+func NewMemo(model *Model) *Memo {
+	return &Memo{Memo: props.NewMemo(), model: model, est: make(map[siteKey]Estimate)}
+}
+
+// NewMemo returns an empty memo pricing plans with m.
+func (m *Model) NewMemo() *Memo { return NewMemo(m) }
+
+// Priced reports whether the memo carries a cost model.
+func (c *Memo) Priced() bool { return c.model != nil }
+
+// Plan estimates every node of the plan; the root's Estimate carries the
+// total plan cost. Only nodes the memo has not seen at their site are
+// estimated.
+func (c *Memo) Plan(plan algebra.Node) (Estimates, error) {
+	es := make(Estimates)
+	if err := c.fill(plan, props.Stratum, es); err != nil {
+		return nil, err
+	}
+	return es, nil
+}
+
+func (c *Memo) fill(n algebra.Node, site props.Site, es Estimates) error {
+	e, err := c.Estimate(n, site)
+	if err != nil {
+		return err
+	}
+	es[n] = e
+	childSite := props.ChildSite(n, site)
+	for _, ch := range n.Children() {
+		if err := c.fill(ch, childSite, es); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Cost returns the total estimated cost of the plan.
+func (c *Memo) Cost(plan algebra.Node) (float64, error) {
+	e, err := c.Estimate(plan, props.Stratum)
+	if err != nil {
+		return 0, err
+	}
+	return e.Cost, nil
+}
+
+// Estimate returns the estimate of n executing at site: its result rows and
+// the cumulative cost of its subtree.
+func (c *Memo) Estimate(n algebra.Node, site props.Site) (Estimate, error) {
+	if c.model == nil {
+		return Estimate{}, fmt.Errorf("cost: memo has no cost model")
+	}
+	k := siteKey{n, site}
+	if e, ok := c.est[k]; ok {
 		return e, nil
 	}
+	// The node's own state validates it and its subtree.
+	if _, err := c.State(n, site); err != nil {
+		return Estimate{}, err
+	}
 	ch := n.Children()
-	ce := make([]Estimate, len(ch))
-	orders := make([]relation.OrderSpec, len(ch))
-	for i, c := range ch {
-		e, err := m.node(c, st, es)
+	var ceBuf [2]Estimate
+	var ordBuf [2]relation.OrderSpec
+	ce, orders := ceBuf[:len(ch)], ordBuf[:len(ch)]
+	childSite := props.ChildSite(n, site)
+	for i, child := range ch {
+		e, err := c.Estimate(child, childSite)
 		if err != nil {
 			return Estimate{}, err
 		}
-		ce[i] = e
-		orders[i] = st[c].Order
+		cs, err := c.State(child, childSite)
+		if err != nil {
+			return Estimate{}, err
+		}
+		ce[i], orders[i] = e, cs.Order
 	}
-	site := st[n].Site
-	e := m.estimate(n, site, ce, orders)
-	for _, c := range ce {
-		e.Cost += c.Cost
+	e := c.model.estimate(n, site, ce, orders)
+	for _, ec := range ce {
+		e.Cost += ec.Cost
 	}
-	es[n] = e
+	c.est[k] = e
 	return e, nil
 }
 

@@ -5,8 +5,6 @@ import (
 	"sort"
 
 	"tqp/internal/algebra"
-	"tqp/internal/props"
-	"tqp/internal/rules"
 )
 
 // BeamConfig controls the cost-guided beam search — the "heuristics ...
@@ -21,19 +19,15 @@ type BeamConfig struct {
 	Width int
 	// Rounds bounds the search depth (default 24).
 	Rounds int
-	// Score returns a plan's cost; lower is better.
-	Score func(algebra.Node) (float64, error)
 }
 
-// Beam runs the beam search from the initial plan. The returned Result
+// Beam runs the beam search from the initial plan, ranking plans by the
+// cost model of Config.Memo, which must be priced. The returned Result
 // lists every beam member ever visited (initial plan first) with
-// provenance; the caller picks the best by score.
+// provenance and scores; Result.Best picks the cheapest.
 func Beam(initial algebra.Node, cfg BeamConfig) (*Result, error) {
-	if cfg.Score == nil {
-		return nil, fmt.Errorf("enum: beam search needs a Score function")
-	}
-	if err := algebra.Validate(initial); err != nil {
-		return nil, fmt.Errorf("enum: invalid initial plan: %w", err)
+	if cfg.Memo == nil || !cfg.Memo.Priced() {
+		return nil, fmt.Errorf("enum: beam search needs a memo with a cost model")
 	}
 	width := cfg.Width
 	if width <= 0 {
@@ -43,81 +37,25 @@ func Beam(initial algebra.Node, cfg BeamConfig) (*Result, error) {
 	if rounds <= 0 {
 		rounds = 24
 	}
-	ruleSet := cfg.Rules
-	if ruleSet == nil {
-		ruleSet = rules.All()
-	}
-	if !cfg.IncludeExpanding {
-		ruleSet = rules.NonExpanding(ruleSet)
-	}
-
-	res := &Result{
-		Provenance:      make(map[string]Step),
-		GuardRejections: make(map[string]int),
-		Applications:    make(map[string]int),
+	s, err := newSearch(initial, cfg.Config)
+	if err != nil {
+		return nil, err
 	}
 	type scored struct {
 		plan  algebra.Node
 		score float64
 	}
-	seen := map[string]bool{algebra.Canonical(initial): true}
-	res.Plans = append(res.Plans, initial)
-	initScore, err := cfg.Score(initial)
-	if err != nil {
-		return nil, err
-	}
-	beam := []scored{{plan: initial, score: initScore}}
+	beam := []scored{{plan: initial, score: s.res.Scores[0]}}
 
 	for round := 0; round < rounds; round++ {
 		var candidates []scored
 		for _, member := range beam {
-			plan := member.plan
-			planKey := algebra.Canonical(plan)
-			st, err := props.InferStates(plan)
+			err := s.expand(member.plan, func(p algebra.Node, score float64) bool {
+				candidates = append(candidates, scored{plan: p, score: score})
+				return true
+			})
 			if err != nil {
 				return nil, err
-			}
-			pm, err := props.Infer(plan, cfg.ResultType, st)
-			if err != nil {
-				return nil, err
-			}
-			for _, path := range algebra.Paths(plan) {
-				node, err := algebra.NodeAt(plan, path)
-				if err != nil {
-					return nil, err
-				}
-				for _, rule := range ruleSet {
-					rewrite := rule.Apply(node, st)
-					if rewrite == nil {
-						continue
-					}
-					if !guardAllows(rule, rewrite, pm) {
-						res.GuardRejections[rule.Name]++
-						continue
-					}
-					newPlan, err := algebra.ReplaceAt(plan, path, rewrite.Result)
-					if err != nil {
-						return nil, err
-					}
-					res.Applications[rule.Name]++
-					key := algebra.Canonical(newPlan)
-					if seen[key] {
-						continue
-					}
-					seen[key] = true
-					score, err := cfg.Score(newPlan)
-					if err != nil {
-						return nil, err
-					}
-					candidates = append(candidates, scored{plan: newPlan, score: score})
-					res.Plans = append(res.Plans, newPlan)
-					res.Provenance[key] = Step{
-						Parent:   planKey,
-						Rule:     rule.Name,
-						RuleType: rule.Type,
-						Path:     path.Clone(),
-					}
-				}
 			}
 		}
 		if len(candidates) == 0 {
@@ -132,5 +70,5 @@ func Beam(initial algebra.Node, cfg BeamConfig) (*Result, error) {
 		}
 		beam = candidates
 	}
-	return res, nil
+	return s.res, nil
 }

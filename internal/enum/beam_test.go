@@ -28,8 +28,7 @@ func TestBeamMatchesExhaustiveBest(t *testing.T) {
 	}
 
 	beam, err := enum.Beam(initial, enum.BeamConfig{
-		Config: enum.Config{ResultType: equiv.ResultList},
-		Score:  model.Cost,
+		Config: enum.Config{ResultType: equiv.ResultList, Memo: model.NewMemo()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,8 +55,7 @@ func TestBeamPlansAreCorrect(t *testing.T) {
 	initial := catalog.PaperInitialPlan(c)
 	model := cost.New(c, cost.DefaultParams())
 	beam, err := enum.Beam(initial, enum.BeamConfig{
-		Config: enum.Config{ResultType: equiv.ResultList},
-		Score:  model.Cost,
+		Config: enum.Config{ResultType: equiv.ResultList, Memo: model.NewMemo()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,6 +75,6 @@ func TestBeamNeedsScore(t *testing.T) {
 	if _, err := enum.Beam(catalog.PaperInitialPlan(c), enum.BeamConfig{
 		Config: enum.Config{ResultType: equiv.ResultList},
 	}); err == nil {
-		t.Error("beam without a score function must fail")
+		t.Error("beam without a cost model must fail")
 	}
 }

@@ -1,12 +1,15 @@
 package enum_test
 
 import (
+	"strings"
 	"testing"
 
 	"tqp/internal/algebra"
 	"tqp/internal/catalog"
+	"tqp/internal/cost"
 	"tqp/internal/enum"
 	"tqp/internal/equiv"
+	"tqp/internal/props"
 	"tqp/internal/rules"
 )
 
@@ -107,5 +110,35 @@ func TestInvalidInitialPlanRejected(t *testing.T) {
 	bad := algebra.NewTRdup(algebra.NewProjectCols(c.MustNode("EMPLOYEE"), "EmpName"))
 	if _, err := enum.Enumerate(bad, enum.Config{ResultType: equiv.ResultList}); err == nil {
 		t.Error("invalid initial plan must be rejected")
+	}
+}
+
+// TestInvalidRewriteRejected: a rule whose rewrite does not validate fails
+// the search with the rule and location named, for both searches.
+func TestInvalidRewriteRejected(t *testing.T) {
+	c := catalog.Paper()
+	bad := rules.Rule{
+		Name: "BAD",
+		Type: equiv.List,
+		Apply: func(n algebra.Node, _ props.States) *rules.Rewrite {
+			if n.Op() != algebra.OpRel {
+				return nil
+			}
+			// A projection onto an attribute the relation lacks.
+			return &rules.Rewrite{
+				Result:       algebra.NewProjectCols(n, "NoSuchAttr"),
+				Participants: []algebra.Node{n},
+			}
+		},
+	}
+	cfg := enum.Config{ResultType: equiv.ResultList, Rules: []rules.Rule{bad}}
+	_, err := enum.Enumerate(catalog.PaperInitialPlan(c), cfg)
+	if err == nil || !strings.Contains(err.Error(), "rule BAD") {
+		t.Errorf("Enumerate: got %v, want the invalid rewrite of rule BAD reported", err)
+	}
+	cfg.Memo = cost.New(c, cost.DefaultParams()).NewMemo()
+	_, err = enum.Beam(catalog.PaperInitialPlan(c), enum.BeamConfig{Config: cfg})
+	if err == nil || !strings.Contains(err.Error(), "rule BAD") {
+		t.Errorf("Beam: got %v, want the invalid rewrite of rule BAD reported", err)
 	}
 }

@@ -150,20 +150,19 @@ func E12OrderAware() Report {
 	// it must discover the sort-avoiding plan (rule S1 removes the top sort
 	// once order propagation proves it redundant) and rank it cheapest.
 	res, err := enum.Beam(pipe, enum.BeamConfig{
-		Config: enum.Config{ResultType: equiv.ResultList},
-		Score:  aware.Cost,
+		Config: enum.Config{ResultType: equiv.ResultList, Memo: aware.NewMemo()},
 	})
 	if err != nil {
 		b.pass = false
 		b.printf("  beam search: %v\n", err)
 		return Report{ID: "E12", Title: "Extension — order-aware physical planning", Pass: b.pass, Body: b.String()}
 	}
-	best, bestCost, err := aware.Best(res.Plans)
+	best, bestCost, err := res.Best()
 	if err != nil {
 		b.pass = false
 		return Report{ID: "E12", Title: "Extension — order-aware physical planning", Pass: b.pass, Body: b.String()}
 	}
-	initialCost, _ := aware.Cost(pipe)
+	initialCost := res.Scores[0]
 	sorts := 0
 	algebra.Walk(best, func(n algebra.Node, _ algebra.Path) bool {
 		if n.Op() == algebra.OpSort {

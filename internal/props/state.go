@@ -78,53 +78,31 @@ type State struct {
 // identity, which is stable because plans are immutable trees.
 type States map[algebra.Node]State
 
-// InferStates computes the static state of every node in the plan.
+// InferStates computes the static state of every node in the plan from
+// scratch: Memo.States over an empty memo.
 func InferStates(root algebra.Node) (States, error) {
-	st := make(States)
-	sites := make(map[algebra.Node]Site)
-	inferSites(root, Stratum, sites)
-	if _, err := inferState(root, st, sites); err != nil {
-		return nil, err
-	}
-	return st, nil
+	return NewMemo().States(root)
 }
 
-// inferSites assigns execution sites: operations below a TS run in the
-// DBMS, operations below a TD run in the stratum again.
-func inferSites(n algebra.Node, cur Site, out map[algebra.Node]Site) {
-	out[n] = cur
-	next := cur
+// ChildSite is the site n's children execute at when n executes at site:
+// operations below a TS run in the DBMS, operations below a TD run in the
+// stratum again.
+func ChildSite(n algebra.Node, site Site) Site {
 	switch n.Op() {
 	case algebra.OpTransferS:
-		next = DBMS
+		return DBMS
 	case algebra.OpTransferD:
-		next = Stratum
+		return Stratum
 	}
-	for _, c := range n.Children() {
-		inferSites(c, next, out)
-	}
+	return site
 }
 
-func inferState(n algebra.Node, out States, sites map[algebra.Node]Site) (State, error) {
-	if s, ok := out[n]; ok {
-		return s, nil
-	}
-	sch, err := n.Schema()
-	if err != nil {
-		return State{}, err
-	}
-	ch := n.Children()
-	cs := make([]State, len(ch))
-	for i, c := range ch {
-		s, err := inferState(c, out, sites)
-		if err != nil {
-			return State{}, err
-		}
-		cs[i] = s
-	}
+// inferState derives one node's state from its own schema and its
+// children's states; site is where the node executes.
+func inferState(n algebra.Node, site Site, sch *schema.Schema, cs []State) State {
 	s := deriveState(n, sch, cs)
 	s.Schema = sch
-	s.Site = sites[n]
+	s.Site = site
 	// Inside the DBMS, only a sort's own result has a usable order
 	// guarantee; every other operation's result order is unspecified.
 	if s.Site == DBMS && n.Op() != algebra.OpSort {
@@ -134,8 +112,7 @@ func inferState(n algebra.Node, out States, sites map[algebra.Node]Site) (State,
 		s.SnapshotDistinct = s.Distinct
 		s.Coalesced = false
 	}
-	out[n] = s
-	return s, nil
+	return s
 }
 
 // deriveState implements the Order / Duplicates / Coalescing columns of

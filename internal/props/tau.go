@@ -52,9 +52,11 @@ func fromTau(t equiv.Type) Props {
 type PropsMap map[algebra.Node]Props
 
 // Infer computes the properties of every node for a query with the given
-// result type (Definition 5.1). It is re-run after each rewrite — the
-// paper adjusts properties locally, which is an optimization of the same
-// computation.
+// result type (Definition 5.1), over the plan's states st (nil infers them
+// from scratch). Properties flow top-down from the root, so a node's τ
+// depends on the whole plan above it and — unlike its state — cannot be
+// shared between the plans that contain the node: the enumerator runs
+// Infer once per plan it expands, over states read from its search Memo.
 func Infer(root algebra.Node, rt equiv.ResultType, st States) (PropsMap, error) {
 	if st == nil {
 		var err error

@@ -143,6 +143,11 @@ type Server struct {
 	conns  map[net.Conn]bool
 	opts   map[string]*core.Optimizer // per engine-spec name, for planning
 	closed bool
+	// marker and markerSeen are set while Close drains the listen
+	// backlog: the accept loop closes markerSeen on accepting the
+	// connection whose remote address is marker.
+	marker     string
+	markerSeen chan struct{}
 
 	queries  sync.WaitGroup // in-flight query executions
 	handlers sync.WaitGroup // connection handler goroutines
@@ -222,10 +227,11 @@ func (s *Server) Close() error {
 		s.mu.Lock()
 		s.closed = true
 		s.mu.Unlock()
+		s.adm.close()
 
+		s.drainBacklog()
 		s.ln.Close()
 		s.accept.Wait()
-		s.adm.close()
 
 		if !waitTimeout(&s.queries, s.cfg.DrainTimeout) {
 			s.closeErr = fmt.Errorf("server: close: drain deadline %s exceeded with queries in flight", s.cfg.DrainTimeout)
@@ -264,6 +270,49 @@ func waitTimeout(wg *sync.WaitGroup, d time.Duration) bool {
 	}
 }
 
+// flushReply pushes a buffered reply onto the connection before its query
+// stops counting as in flight: Close closes every connection once the
+// in-flight count drains, and an unflushed reply would be lost. A write
+// error stays sticky in the bufio.Writer, so the handler's own Flush still
+// reports it.
+func flushReply(w io.Writer) {
+	if bw, ok := w.(*bufio.Writer); ok {
+		_ = bw.Flush()
+	}
+}
+
+// drainBacklog returns once every connection completed before the call
+// has been accepted. A completed connection waits in the listen backlog
+// until accepted, and closing the listener would reset it; accepted, it is
+// served like any other and its queries get the typed shutdown reply. The
+// kernel queues completed connections first in, first out, so it dials the
+// listener itself and waits (at most a second) for the accept loop to take
+// that marker connection.
+func (s *Server) drainBacklog() {
+	marker, err := net.DialTimeout("tcp", s.ln.Addr().String(), time.Second)
+	if err != nil {
+		return // the listener is unreachable or its backlog full
+	}
+	defer marker.Close()
+	addr := marker.LocalAddr().String()
+	seen := make(chan struct{})
+	s.mu.Lock()
+	for conn := range s.conns {
+		if conn.RemoteAddr().String() == addr {
+			s.mu.Unlock()
+			return // accepted already
+		}
+	}
+	s.marker, s.markerSeen = addr, seen
+	s.mu.Unlock()
+	timer := time.NewTimer(time.Second)
+	defer timer.Stop()
+	select {
+	case <-seen:
+	case <-timer.C:
+	}
+}
+
 func (s *Server) acceptLoop() {
 	defer s.accept.Done()
 	for {
@@ -271,13 +320,15 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		// A connection accepted while Close runs is served too: Close
+		// waits for this loop before it closes the tracked connections,
+		// and runQuery answers its queries with CodeShutdown.
 		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
 		s.conns[conn] = true
+		if s.markerSeen != nil && conn.RemoteAddr().String() == s.marker {
+			close(s.markerSeen)
+			s.markerSeen = nil
+		}
 		s.mu.Unlock()
 		s.handlers.Add(1)
 		go s.handleConn(conn)
@@ -471,6 +522,7 @@ func (s *Server) runQuery(sql string, sess *session, w io.Writer) error {
 	gate := s.execGate
 	s.mu.Unlock()
 	defer s.queries.Done()
+	defer flushReply(w)
 
 	mode, stripped := tsql.StripExplain(sql)
 	sql = stripped
@@ -528,7 +580,8 @@ func (s *Server) runQuery(sql string, sess *session, w io.Writer) error {
 			// is a parse error; anything after (name resolution, planning,
 			// enumeration, site validation) is a plan error.
 			code := CodePlan
-			if _, perr := opt.Parse(sql); perr != nil {
+			var perr *tsql.ParseError
+			if errors.As(err, &perr) {
 				code = CodeParse
 			}
 			finish(code)
@@ -652,6 +705,7 @@ func (s *Server) runPartial(plan *WirePlan, w io.Writer) error {
 	gate := s.execGate
 	s.mu.Unlock()
 	defer s.queries.Done()
+	defer flushReply(w)
 
 	if _, err := s.adm.acquire(); err != nil {
 		code := CodeAdmission

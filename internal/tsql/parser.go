@@ -54,19 +54,27 @@ type parser struct {
 	pos  int
 }
 
-// Parse parses one statement.
+// ParseError is the error Parse returns for a statement outside the
+// dialect; errors.As tells it apart from the planning errors that follow a
+// successful parse.
+type ParseError struct{ Err error }
+
+func (e *ParseError) Error() string { return e.Err.Error() }
+func (e *ParseError) Unwrap() error { return e.Err }
+
+// Parse parses one statement. Every error it returns is a *ParseError.
 func Parse(input string) (*Query, error) {
 	toks, err := lex(input)
 	if err != nil {
-		return nil, err
+		return nil, &ParseError{Err: err}
 	}
 	p := &parser{toks: toks}
 	ast, err := p.query()
 	if err != nil {
-		return nil, err
+		return nil, &ParseError{Err: err}
 	}
 	if !p.at(tokEOF, "") {
-		return nil, fmt.Errorf("tsql: trailing input at %q", p.cur().text)
+		return nil, &ParseError{Err: fmt.Errorf("tsql: trailing input at %q", p.cur().text)}
 	}
 	return &Query{ast: ast, Text: input}, nil
 }

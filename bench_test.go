@@ -1076,6 +1076,52 @@ func BenchmarkStore(b *testing.B) {
 		recordEngineBench("store", batch, "append", elapsed, b.N, batch, bPerOp, allocsPerOp)
 		b.ReportMetric(float64(batch)*float64(b.N)/elapsed.Seconds(), "rows/s")
 	})
+
+	// Append cost against relation size: 256-row, time-ordered appends to
+	// a Distinct relation already holding 8k, then 64k rows (the
+	// ingest-travel shape). Each batch lies past every stored period, so
+	// its fence meets no stored segment and the per-append ns should not
+	// grow with the relation; the 64k/8k ratio measures that. Recorded
+	// with rows = the relation's size before the first append.
+	for _, base := range []int{8192, 65536} {
+		b.Run(fmt.Sprintf("append-growing/n=%d", base), func(b *testing.B) {
+			const batch = 256
+			// rows returns n rows with unique names and 5-chronon periods
+			// starting at from, from+1, ….
+			rows := func(from, n int) [][]any {
+				out := make([][]any, n)
+				for j := range out {
+					out[j] = []any{fmt.Sprintf("v%d", from+j), from + j, from + j + 5}
+				}
+				return out
+			}
+			c, err := catalog.OpenDir(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			info := algebra.BaseInfo{Distinct: true}
+			if err := c.AddDisk("R", relation.MustFromRows(sch, rows(0, base)), info); err != nil {
+				b.Fatal(err)
+			}
+			// A gap of 10 chronons between batches keeps every fence clear
+			// of the next batch's span.
+			batches := make([][][]any, b.N)
+			for i := range batches {
+				batches[i] = rows(base+10+i*(batch+10), batch)
+			}
+			b.ResetTimer()
+			m0 := snapMem()
+			start := time.Now()
+			for _, rs := range batches {
+				if err := c.AppendRows("R", rs); err != nil {
+					b.Fatal(err)
+				}
+			}
+			elapsed := time.Since(start)
+			bPerOp, allocsPerOp := m0.since(b.N)
+			recordEngineBench("store", base, "append-growing", elapsed, b.N, batch, bPerOp, allocsPerOp)
+		})
+	}
 }
 
 const paperSQL = `VALIDTIME SELECT DISTINCT COALESCED EmpName FROM EMPLOYEE

@@ -44,6 +44,58 @@ type Entry struct {
 	// range within Rel). Nil for purely in-memory entries, which have no
 	// period index to prune with.
 	segs []store.SegmentInfo
+
+	// all is the entry's growable tuple list; Rel is a relation over
+	// all[:n:n], so appends fill the spare capacity without copying and a
+	// reader's append to an old Rel reallocates instead of overwriting.
+	all []relation.Tuple
+	// distinct and periodSum are the running totals behind
+	// Stats.DistinctFrac and Stats.AvgPeriod: the number of distinct
+	// tuples and the summed period durations.
+	distinct  int
+	periodSum int64
+	// trusted marks an AddTrusted entry: its info was never verified and
+	// its totals never counted, so its first append checks every row.
+	trusted bool
+}
+
+// newEntry verifies info over a whole tuple list and counts its statistics
+// in one kernel pass: every row is the batch, and there are no existing
+// rows. The entry takes ownership of tuples.
+func newEntry(name string, sch *schema.Schema, tuples []relation.Tuple, info algebra.BaseInfo) (*Entry, error) {
+	x := indexBatch(sch, info, tuples)
+	if err := x.verdict(name, nil); err != nil {
+		return nil, err
+	}
+	e := &Entry{Name: name, Info: info, all: tuples}
+	e.publish(x)
+	return e, nil
+}
+
+// publish folds a verified batch, already at the end of e.all, into the
+// running totals, derives Stats from them — bit-identical to a from-scratch
+// pass over the list — and installs Rel over the grown list.
+func (e *Entry) publish(x *batchIndex) {
+	n := len(e.all)
+	e.distinct += x.newDistinct()
+	e.periodSum += x.periodSum
+	s := Stats{Card: n, DistinctFrac: 1, MinT: e.Stats.MinT, MaxT: e.Stats.MaxT}
+	if n > 0 {
+		s.DistinctFrac = float64(e.distinct) / float64(n)
+		if x.sch.Temporal() {
+			s.AvgPeriod = float64(e.periodSum) / float64(n)
+		}
+	}
+	switch {
+	case !x.spanned:
+	case s.MinT >= s.MaxT: // no earlier row has a non-empty period
+		s.MinT, s.MaxT = x.minT, x.maxT
+	default:
+		s.MinT, s.MaxT = min(s.MinT, x.minT), max(s.MaxT, x.maxT)
+	}
+	e.Stats = s
+	e.Rel = relation.FromTuplesTrusted(x.sch, e.all[:n:n])
+	e.Rel.SetOrder(e.Info.Order)
 }
 
 // Catalog is a set of named relations.
@@ -71,12 +123,11 @@ func (c *Catalog) Add(name string, r *relation.Relation, info algebra.BaseInfo) 
 	if _, dup := c.entries[name]; dup {
 		return fmt.Errorf("catalog: relation %q already exists", name)
 	}
-	if err := verifyInfo(name, r, info); err != nil {
+	e, err := newEntry(name, r.Schema(), append([]relation.Tuple(nil), r.Tuples()...), info)
+	if err != nil {
 		return err
 	}
-	r = r.Clone()
-	r.SetOrder(info.Order)
-	c.entries[name] = &Entry{Name: name, Rel: r, Info: info, Stats: computeStats(r)}
+	c.entries[name] = e
 	return nil
 }
 
@@ -93,7 +144,9 @@ func (c *Catalog) AddTrusted(name string, r *relation.Relation, info algebra.Bas
 		return fmt.Errorf("catalog: relation %q already exists", name)
 	}
 	r.SetOrder(info.Order)
-	c.entries[name] = &Entry{Name: name, Rel: r, Info: info, Stats: Stats{Card: r.Len(), DistinctFrac: 1}}
+	n := r.Len()
+	c.entries[name] = &Entry{Name: name, Rel: r, Info: info, Stats: Stats{Card: n, DistinctFrac: 1},
+		all: r.Tuples()[:n:n], trusted: true}
 	return nil
 }
 
@@ -102,55 +155,6 @@ func (c *Catalog) MustAdd(name string, r *relation.Relation, info algebra.BaseIn
 	if err := c.Add(name, r, info); err != nil {
 		panic(err)
 	}
-}
-
-// verifyInfo checks declared base-info flags against the instance — the
-// truth gate shared by Add and by appends to existing entries (an append
-// must not silently falsify what the optimizer was promised).
-func verifyInfo(name string, r *relation.Relation, info algebra.BaseInfo) error {
-	if info.Distinct && r.HasDuplicates() {
-		return fmt.Errorf("catalog: %q declared distinct but has duplicates", name)
-	}
-	if info.SnapshotDistinct && r.HasSnapshotDuplicates() {
-		return fmt.Errorf("catalog: %q declared snapshot-distinct but has snapshot duplicates", name)
-	}
-	if info.Coalesced && !r.IsCoalesced() {
-		return fmt.Errorf("catalog: %q declared coalesced but is not", name)
-	}
-	if !info.Order.Empty() && !r.SortedBy(info.Order) {
-		return fmt.Errorf("catalog: %q declared sorted by %s but is not", name, info.Order)
-	}
-	return nil
-}
-
-func computeStats(r *relation.Relation) Stats {
-	s := Stats{Card: r.Len(), DistinctFrac: 1}
-	if r.Len() > 0 {
-		distinct := make(map[string]bool, r.Len())
-		for _, t := range r.Tuples() {
-			distinct[t.Key()] = true
-		}
-		s.DistinctFrac = float64(len(distinct)) / float64(r.Len())
-	}
-	if r.Temporal() && r.Len() > 0 {
-		var total int64
-		first := true
-		for _, p := range r.Periods() {
-			total += p.Duration()
-			if p.Empty() {
-				continue
-			}
-			if first || p.Start < s.MinT {
-				s.MinT = p.Start
-			}
-			if first || p.End > s.MaxT {
-				s.MaxT = p.End
-			}
-			first = false
-		}
-		s.AvgPeriod = float64(total) / float64(r.Len())
-	}
-	return s
 }
 
 // Resolve implements eval.Source. Scan names carrying a time-travel suffix

@@ -34,7 +34,10 @@ func (c *Catalog) DiskBacked() bool { return c.st != nil }
 // and tooling that inspect the on-disk state.
 func (c *Catalog) Store() *store.Store { return c.st }
 
-// loadEntry (re)materializes one relation from the store into the catalog.
+// loadEntry materializes one relation from the store into the catalog. The
+// kernel pass that counts its statistics also checks the manifest's
+// declared flags against the stored rows: appends trust the rows already
+// there, so a store whose rows contradict its flags is refused as corrupt.
 func (c *Catalog) loadEntry(name string) error {
 	r, err := c.st.Load(name)
 	if err != nil {
@@ -48,7 +51,12 @@ func (c *Catalog) loadEntry(name string) error {
 	if err != nil {
 		return err
 	}
-	c.entries[name] = &Entry{Name: name, Rel: r, Info: info, Stats: computeStats(r), segs: segs}
+	e, err := newEntry(name, r.Schema(), r.Tuples(), info)
+	if err != nil {
+		return fmt.Errorf("catalog: stored rows contradict the manifest: %v: %w", err, store.ErrCorrupt)
+	}
+	e.segs = segs
+	c.entries[name] = e
 	return nil
 }
 
@@ -63,7 +71,8 @@ func (c *Catalog) AddDisk(name string, r *relation.Relation, info algebra.BaseIn
 	if _, dup := c.entries[name]; dup {
 		return fmt.Errorf("catalog: relation %q already exists", name)
 	}
-	if err := verifyInfo(name, r, info); err != nil {
+	e, err := newEntry(name, r.Schema(), append([]relation.Tuple(nil), r.Tuples()...), info)
+	if err != nil {
 		return err
 	}
 	if err := c.st.Create(name, r.Schema(), info); err != nil {
@@ -72,14 +81,28 @@ func (c *Catalog) AddDisk(name string, r *relation.Relation, info algebra.BaseIn
 	if err := c.st.Append(name, r.Tuples()); err != nil {
 		return err
 	}
-	return c.loadEntry(name)
+	if e.segs, err = c.st.Segments(name); err != nil {
+		return err
+	}
+	c.entries[name] = e
+	return nil
 }
 
 // AppendTuples appends rows to a relation, writing a new segment through to
-// the store first (disk-backed catalogs). The combined relation is
-// re-verified against the declared info before anything is written: an
-// append that would falsify Distinct, order, or any other planning promise
-// is rejected whole.
+// the store first (disk-backed catalogs). The existing rows are trusted —
+// they were verified when they arrived, or at open — so the declared info
+// is verified against what the batch can break: the batch against itself,
+// and the batch against the existing rows that could clash with it. A
+// batch row can only clash with a row whose period equals, overlaps or
+// meets its own, so on a disk-backed temporal relation those are the rows
+// of the segments whose period fences meet the batch's period span; an
+// in-memory relation, a snapshot relation, or a batch holding an empty
+// period checks every existing row. Order is checked on the batch and at
+// the seam with the last existing row. An append that would falsify
+// Distinct, order, or any other planning promise is rejected whole. Stats
+// are updated from the batch alone. The cost is proportional to the batch
+// plus the fence-overlapping segments; readers holding the old Rel keep
+// their snapshot.
 func (c *Catalog) AppendTuples(name string, rows []relation.Tuple) error {
 	e, ok := c.entries[name]
 	if !ok {
@@ -89,30 +112,69 @@ func (c *Catalog) AppendTuples(name string, rows []relation.Tuple) error {
 		return nil
 	}
 	sch := e.Rel.Schema()
-	combined := e.Rel.Clone()
 	for _, t := range rows {
 		if err := t.CheckAgainst(sch); err != nil {
 			return fmt.Errorf("catalog: append to %q: %w", name, err)
 		}
-		combined.Append(t)
 	}
-	if err := verifyInfo(name, combined, e.Info); err != nil {
+	base := e
+	if e.trusted {
+		// Count and verify the vouched-for rows once, as Add would have;
+		// the entry changes only if the append commits.
+		var err error
+		if base, err = newEntry(name, sch, e.all, e.Info); err != nil {
+			return err
+		}
+		base.segs = e.segs
+	}
+	x, err := base.checkAppend(rows)
+	if err != nil {
 		return err
 	}
 	if c.st != nil {
 		if err := c.st.Append(name, rows); err != nil {
 			return err
 		}
-		segs, err := c.st.Segments(name)
-		if err != nil {
+		if base.segs, err = c.st.Segments(name); err != nil {
 			return err
 		}
-		e.segs = segs
 	}
-	combined.SetOrder(e.Info.Order)
-	e.Rel = combined
-	e.Stats = computeStats(combined)
+	base.all = append(base.all, rows...)
+	base.publish(x)
+	*e = *base // a no-op unless a trusted entry was settled
 	return nil
+}
+
+// checkAppend runs the kernel for appending rows to e: it indexes the
+// batch, probes the existing rows that could clash with it, and verifies
+// the declared info.
+func (e *Entry) checkAppend(rows []relation.Tuple) (*batchIndex, error) {
+	x := indexBatch(e.Rel.Schema(), e.Info, rows)
+	existing := e.Rel.Tuples()
+	if e.segs == nil || x.t1 < 0 || !x.allPeriods {
+		for _, t := range existing {
+			x.probe(t)
+		}
+	} else {
+		off := 0
+		for _, sg := range e.segs {
+			// A fence [MinT, MaxT] meets the span [minT, maxT] when both
+			// are closed: a segment ending exactly at minT can hold a row
+			// that meets a batch row. An empty fence holds no non-empty
+			// period, so nothing in it can clash.
+			if !sg.Fenced || (sg.MinT < sg.MaxT && sg.MinT <= int64(x.maxT) && int64(x.minT) <= sg.MaxT) {
+				for _, t := range existing[off : off+sg.Rows] {
+					x.probe(t)
+				}
+			}
+			off += sg.Rows
+		}
+	}
+	var prev relation.Tuple
+	if len(existing) > 0 {
+		prev = existing[len(existing)-1]
+	}
+	return x, x.verdict(e.Name, prev)
 }
 
 // AppendRows is AppendTuples over raw row literals.
@@ -134,13 +196,20 @@ func (c *Catalog) Compact(name string) error {
 	if c.st == nil {
 		return fmt.Errorf("catalog: Compact on an in-memory catalog")
 	}
-	if _, ok := c.entries[name]; !ok {
+	e, ok := c.entries[name]
+	if !ok {
 		return fmt.Errorf("catalog: unknown relation %q", name)
 	}
 	if err := c.st.Compact(name); err != nil {
 		return err
 	}
-	return c.loadEntry(name)
+	// The tuple list is unchanged; only the segment list and its fences are.
+	segs, err := c.st.Segments(name)
+	if err != nil {
+		return err
+	}
+	e.segs = segs
+	return nil
 }
 
 // ImportFrom copies every relation of src into this disk-backed catalog.

@@ -1,6 +1,7 @@
 package catalog_test
 
 import (
+	"errors"
 	"testing"
 
 	"tqp/internal/algebra"
@@ -8,6 +9,7 @@ import (
 	"tqp/internal/period"
 	"tqp/internal/relation"
 	"tqp/internal/schema"
+	"tqp/internal/store"
 	"tqp/internal/value"
 )
 
@@ -350,5 +352,30 @@ func TestCatalogCompact(t *testing.T) {
 	}
 	if _, scanned, _, _ := c.ResolveScan("R"); scanned != 1 {
 		t.Fatalf("compacted relation scans %d segments, want 1", scanned)
+	}
+}
+
+// TestOpenRefusesFlagsTheRowsContradict: appends trust the rows already
+// stored, so open checks them against the manifest's declared flags. A
+// store written below the catalog with duplicate rows under Distinct is
+// refused as corrupt.
+func TestOpenRefusesFlagsTheRowsContradict(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch := travelSchema()
+	if err := st.Create("R", sch, algebra.BaseInfo{Distinct: true}); err != nil {
+		t.Fatal(err)
+	}
+	rows := relation.MustFromRows(sch, [][]any{{"a", 0, 5}, {"b", 1, 2}}).Tuples()
+	for i := 0; i < 2; i++ {
+		if err := st.Append("R", rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := catalog.OpenDir(dir); !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("open of duplicate rows declared distinct: %v, want store.ErrCorrupt", err)
 	}
 }

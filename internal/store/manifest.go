@@ -182,8 +182,13 @@ func encodeManifest(m *manifest) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: encoding manifest: %w", err)
 	}
+	return sealManifest(payload), nil
+}
+
+// sealManifest prefixes a manifest payload with its checksummed header line.
+func sealManifest(payload []byte) []byte {
 	header := fmt.Sprintf("%s %08x %d\n", manifestMagic, crc32.Checksum(payload, castagnoli), len(payload))
-	return append([]byte(header), payload...), nil
+	return append([]byte(header), payload...)
 }
 
 // decodeManifest parses and verifies a manifest file's bytes. Every failure
@@ -218,8 +223,16 @@ func decodeManifest(data []byte) (*manifest, error) {
 		return nil, fmt.Errorf("store: manifest body magic %q: %w", m.Magic, ErrCorrupt)
 	}
 	for _, r := range m.Relations {
+		if r == nil {
+			return nil, fmt.Errorf("store: manifest lists a null relation: %w", ErrCorrupt)
+		}
 		if _, err := r.schemaOf(); err != nil {
 			return nil, fmt.Errorf("%v: %w", err, ErrCorrupt)
+		}
+		for _, sg := range r.Segments {
+			if sg.Rows < 0 || sg.Bytes < 0 {
+				return nil, fmt.Errorf("store: relation %q segment %s has a negative size: %w", r.Name, sg.File, ErrCorrupt)
+			}
 		}
 	}
 	return &m, nil
